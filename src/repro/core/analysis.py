@@ -166,18 +166,18 @@ _CACHE_CAPACITY = 4096
 #: id(statement) -> (statement, info).  Each entry keeps a strong
 #: reference to the statement so its id can never be recycled while the
 #: memo holds it (AST nodes use __slots__, so the info cannot be stashed
-#: on the node).  Cleared wholesale at capacity: statements are
-#: parse-cache residents, so the working set re-warms in one pass.
+#: on the node).  Cleared wholesale at capacity: the front-door
+#: statement caches own the trees, so the working set re-warms in a pass.
 _analysis_cache: dict = {}
 
 
 def analyze_cached(statement: ast.Statement) -> StatementInfo:
     """:func:`analyze` memoized by statement identity.
 
-    The composed request path walks every statement at the shard router
-    *and again* inside the chosen group's middleware; for the
-    parse-cached templates a driver replays millions of times, the
-    second walk is pure overhead.  Statements whose analysis found
+    For callers that hand the middleware a bare tree without its
+    analysis; the statement caches (:mod:`repro.sqlengine.prepared`)
+    own the trees and return one per SQL text, so the identity key is
+    stable across calls.  Statements whose analysis found
     nondeterministic calls are never memoized — the middleware may
     rewrite those trees in place (``rewrite_nondeterministic``), which
     would invalidate a cached info."""

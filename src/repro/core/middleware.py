@@ -792,14 +792,17 @@ class MiddlewareSession:
                 resilience.admission.release()
 
     def execute_one_parsed(self, statement: ast.Statement, sql_text: str,
-                           params: Optional[List[Any]] = None) -> Result:
-        """Execute one pre-parsed statement (timed-driver fast path)."""
+                           params: Optional[List[Any]] = None,
+                           info: Optional[StatementInfo] = None) -> Result:
+        """Execute one pre-parsed statement (router / timed-driver fast
+        path), with its analysis ``info`` when the caller holds it."""
         self._check_open()
         cached = self._cached_fast_path(sql_text, params)
         if cached is not None:
             return cached
         self._single_statement = True
-        return self._execute_one(statement, sql_text, list(params or []))
+        return self._execute_one(statement, sql_text, list(params or []),
+                                 info)
 
     def begin(self, isolation: Optional[str] = None) -> None:
         self.execute("BEGIN" if isolation is None
@@ -843,7 +846,8 @@ class MiddlewareSession:
     # ------------------------------------------------------------------
 
     def _execute_one(self, statement: ast.Statement, sql_text: str,
-                     params: List[Any]) -> Result:
+                     params: List[Any],
+                     info: Optional[StatementInfo] = None) -> Result:
         tracer = self.middleware.tracer
         if self.active_span:
             # nested execution (e.g. a transaction replay re-issuing
@@ -862,9 +866,9 @@ class MiddlewareSession:
         try:
             resilience = self.middleware.resilience
             if resilience is None:
-                return self._dispatch_one(statement, sql_text, params)
+                return self._dispatch_one(statement, sql_text, params, info)
             return resilience.execute_statement(
-                self, statement, sql_text, params)
+                self, statement, sql_text, params, info)
         except Exception as exc:
             span.set_tag("error", type(exc).__name__)
             raise
@@ -873,7 +877,8 @@ class MiddlewareSession:
             span.end()
 
     def _dispatch_one(self, statement: ast.Statement, sql_text: str,
-                      params: List[Any]) -> Result:
+                      params: List[Any],
+                      info: Optional[StatementInfo] = None) -> Result:
         self.middleware._check_up()
         if isinstance(statement, ast.BeginStatement):
             self._begin_transaction(statement.isolation)
@@ -885,7 +890,8 @@ class MiddlewareSession:
             self._rollback_transaction()
             return Result()
 
-        info = analyze_cached(statement)
+        if info is None:
+            info = analyze_cached(statement)
         self._track_temp_tables(info)
         if isinstance(statement, (ast.UseStatement, ast.SetStatement)):
             # connection-local state the cache key cannot witness

@@ -450,15 +450,16 @@ class ResilienceCoordinator:
     # -- the resilient dispatch path -----------------------------------------
 
     def execute_statement(self, session, statement: "ast.Statement",
-                          sql_text: str, params: List[Any]):
-        """Wrap one statement dispatch in deadline + retry machinery."""
+                          sql_text: str, params: List[Any], info=None):
+        """Wrap one statement dispatch in deadline + retry machinery
+        (``info``: the statement's analysis, when the caller holds it)."""
         if self._replaying:
             # statements re-issued by a replay run bare: the outer retry
             # loop owns attempt accounting, so nesting would compound it
-            return session._dispatch_one(statement, sql_text, params)
+            return session._dispatch_one(statement, sql_text, params, info)
         if isinstance(statement, ast.RollbackStatement):
             # a rollback must always succeed from the client's view
-            return session._dispatch_one(statement, sql_text, params)
+            return session._dispatch_one(statement, sql_text, params, info)
         deadline: Optional[Deadline] = session.deadline
         if deadline is not None:
             deadline.check("statement")
@@ -476,7 +477,7 @@ class ResilienceCoordinator:
             # breaker / deadline decisions land on it as span events
             span = getattr(session, "active_span", None)
             try:
-                return session._dispatch_one(statement, sql_text, params)
+                return session._dispatch_one(statement, sql_text, params, info)
             except RequestTimeout:
                 self.stats["timeouts"] += 1
                 if span:

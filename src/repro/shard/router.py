@@ -53,6 +53,7 @@ from ..obs.tracing import Tracer
 from ..sqlengine import ast_nodes as ast
 from ..sqlengine.executor import Result
 from ..sqlengine.parser import parse_script
+from ..sqlengine.prepared import StatementCache
 from .merge import plan_scatter
 from .shardmap import ShardMap, ShardMapLog, Sharder, ShardSpec
 from .twopc import TwoPCCoordinator
@@ -279,6 +280,8 @@ class ShardedCluster:
         self._session_counter = 0
         self.route_caching = True
         self._route_plans: Dict[int, tuple] = {}
+        # one tree per SQL text, so the route-plan memo above keeps hitting
+        self.statements = StatementCache(parse_script, analyze)
         self.stats: Dict[str, int] = {
             "single_shard": 0, "scatter_reads": 0, "multi_shard_writes": 0,
             "broadcast": 0, "single_shard_commits": 0, "twopc_commits": 0,
@@ -339,21 +342,23 @@ class ShardedCluster:
 
     # -- route-plan memo -------------------------------------------------
 
-    def _route_plan(self, statement: ast.Statement) -> tuple:
+    def _route_plan(self, statement: ast.Statement,
+                    info: Optional[StatementInfo] = None) -> tuple:
         """``(statement, info, map_version, spec, key_plan)`` memoized by
-        statement identity — the open-loop drivers replay a small set of
-        parse-cached templates, so the analysis walk, the spec lookup and
-        the WHERE-shape inspection are all loop-invariant; only the bound
-        parameters change per call.  Each entry holds a strong reference
-        to the statement so its id cannot be recycled while cached, and
-        entries self-invalidate when a reshard advances the map version
-        (the key plan bakes in the spec)."""
+        statement identity — :attr:`statements` hands out one tree per
+        SQL text, so the analysis (``info``, if the caller has none), the
+        spec lookup and the WHERE-shape inspection are loop-invariant;
+        only the bound parameters change per call.  Each entry holds a
+        strong reference to the statement so its id cannot be recycled
+        while cached, and entries self-invalidate when a reshard advances
+        the map version (the key plan bakes in the spec)."""
         key = id(statement)
         plan = self._route_plans.get(key)
         if plan is not None and plan[0] is statement \
                 and plan[2] == self.map.version:
             return plan
-        info = analyze(statement)
+        if info is None:
+            info = analyze(statement)
         spec = None
         for table in info.all_tables():
             spec = self.map.spec_of(table)
@@ -423,14 +428,14 @@ class ShardedSession:
     def execute(self, sql: str,
                 params: Optional[List[Any]] = None) -> Result:
         self._check_open()
-        statements = parse_script(sql)
+        statements, infos = self.cluster.statements.parse(sql)
         ticket = self._admit(statements)
         ok = False
         try:
             result = Result()
-            for statement in statements:
+            for statement, info in zip(statements, infos):
                 result = self._execute_one(statement, sql,
-                                           list(params or []))
+                                           list(params or []), info)
             ok = True
             return result
         finally:
@@ -542,7 +547,8 @@ class ShardedSession:
         return session
 
     def _execute_on(self, index: int, statement: ast.Statement,
-                    sql_text: str, params: List[Any]) -> Result:
+                    sql_text: str, params: List[Any],
+                    info: Optional[StatementInfo] = None) -> Result:
         """Dispatch one statement to group ``index``; when the group's
         active middleware died or was fenced underneath an autocommit
         statement, re-resolve to the promoted leader and retry once.
@@ -557,14 +563,14 @@ class ShardedSession:
         commit ledger)."""
         try:
             return self._txn_session(index).execute_one_parsed(
-                statement, sql_text, params)
+                statement, sql_text, params, info)
         except MiddlewareDown as exc:
             if not self._failover_retryable(index, exc):
                 raise
             self.cluster.stats["failover_reroutes"] += 1
             try:
                 return self._txn_session(index).execute_one_parsed(
-                    statement, sql_text, params)
+                    statement, sql_text, params, info)
             except MiddlewareDown as again:
                 # the retry hit another dead/fenced instance — keep the
                 # failover classification on what the client sees
@@ -597,7 +603,10 @@ class ShardedSession:
     # -- statement execution --------------------------------------------
 
     def _execute_one(self, statement: ast.Statement, sql_text: str,
-                     params: List[Any]) -> Result:
+                     params: List[Any],
+                     known_info: Optional[StatementInfo] = None) -> Result:
+        # ``known_info`` (from :attr:`ShardedCluster.statements`) goes on
+        # to the group middleware, so neither tier re-analyzes the tree
         if isinstance(statement, ast.BeginStatement):
             return self._begin()
         if isinstance(statement, ast.CommitStatement):
@@ -608,9 +617,9 @@ class ShardedSession:
         cluster = self.cluster
         if cluster.route_caching:
             _stmt, info, _version, spec, key_plan = \
-                cluster._route_plan(statement)
+                cluster._route_plan(statement, known_info)
         else:
-            info = analyze(statement)
+            info = known_info or analyze(statement)
             _table, spec = self._sharded_table_of(info)
             key_plan = _NO_PLAN
         span = cluster.tracer.start_span(
@@ -630,7 +639,7 @@ class ShardedSession:
                 target = next(iter(targets))
                 self._note_route("single", (target,), info.is_write)
                 result = self._execute_on(target, statement, sql_text,
-                                          params)
+                                          params, known_info)
                 if info.is_write and self.in_transaction:
                     self._txn_write_groups.add(target)
                 return result

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import ast_nodes as ast
@@ -37,7 +36,8 @@ from .mvcc import (
     CommitClock, READ_COMMITTED, READ_UNCOMMITTED, REPEATABLE_READ,
     SERIALIZABLE, SNAPSHOT,
 )
-from .parser import parameterize_literals, parse_script
+from .parser import parse_script
+from .prepared import StatementCache
 from .storage import Table
 from .transactions import Transaction, TransactionStatus
 
@@ -194,13 +194,8 @@ class Connection:
         statements); returns the result of the last one."""
         self._check_usable()
         engine = self.engine
-        statements = None
-        if not params and engine.auto_parameterize:
-            prepared = engine.prepare_parameterized(sql)
-            if prepared is not None:
-                statements, params = prepared
-        if statements is None:
-            statements = engine.parse(sql)
+        statements, params = engine.prepare_parameterized(sql, params)
+        engine.stats["statements"] += len(statements)
         result = Result()
         for statement in statements:
             result = self._execute_one(statement, sql, params or [])
@@ -324,11 +319,6 @@ class Engine:
         self._txn_counter = itertools.count(1)
         self.active_transactions: Dict[int, Transaction] = {}
         self._commit_listeners: List[Callable[[Transaction, BinlogRecord], None]] = []
-        # Parsed-statement cache with LRU eviction: long-running sessions
-        # with churning SQL text keep their hot statements cached instead
-        # of the cache freezing once it fills.
-        self._parse_cache: "OrderedDict[str, List[ast.Statement]]" = OrderedDict()
-        self._parse_cache_capacity = max(1, parse_cache_capacity)
         # Index-backed access paths can be disabled to measure the
         # sequential-scan baseline (benchmark E23); results are identical.
         self.use_indexes = True
@@ -337,11 +327,6 @@ class Engine:
         # key values share one parsed template (E28 hot path).  Disabled
         # = the BENCH_e23-era parse-per-key behaviour.
         self.auto_parameterize = True
-        self._param_fail: set = set()
-        # sql text -> (parsed template statements, extracted values):
-        # repeated statements (hot Zipf keys) skip the rewrite regex and
-        # the template lookup entirely.
-        self._param_memo: "OrderedDict[str, tuple]" = OrderedDict()
         # Autovacuum: run :meth:`vacuum` every N commits so update-heavy
         # runs keep version chains bounded (a hot Zipf key otherwise
         # accumulates one dead version per update and every read walks
@@ -355,6 +340,8 @@ class Engine:
             "parse_cache_hits": 0, "parse_cache_misses": 0,
             "versions_gced": 0,
         }
+        self._parse_cache = StatementCache(
+            parse_script, capacity=parse_cache_capacity, stats=self.stats)
 
     # -- catalog --------------------------------------------------------------
 
@@ -398,49 +385,19 @@ class Engine:
     # -- parsing ----------------------------------------------------------------
 
     def parse(self, sql: str) -> List[ast.Statement]:
-        cached = self._parse_cache.get(sql)
-        if cached is not None:
-            self._parse_cache.move_to_end(sql)
-            self.stats["parse_cache_hits"] += 1
-        else:
-            cached = parse_script(sql)
-            self.stats["parse_cache_misses"] += 1
-            self._parse_cache[sql] = cached
-            while len(self._parse_cache) > self._parse_cache_capacity:
-                self._parse_cache.popitem(last=False)
-        self.stats["statements"] += len(cached)
-        return cached
+        """Parse ``sql`` through the engine's statement cache."""
+        return self._parse_cache.parse(sql)[0]
 
-    def prepare_parameterized(self, sql: str):
-        """Auto-parameterize ``sql`` and parse the template through the
-        parse cache.  Returns ``(statements, values)`` or ``None`` when
-        the statement is not rewritable (the caller then parses the
-        original text).  Templates that fail to parse are remembered so
-        a pathological shape costs one attempt, not one per key."""
-        memo = self._param_memo.get(sql)
-        if memo is not None:
-            self._param_memo.move_to_end(sql)
-            # the memo fronts the parse cache: a hit here is a (cheaper)
-            # parse-cache hit and must count as one
-            self.stats["parse_cache_hits"] += 1
-            return memo
-        prepared = parameterize_literals(sql)
-        if prepared is None:
-            return None
-        template, values = prepared
-        if template in self._param_fail:
-            return None
-        try:
-            statements = self.parse(template)
-        except SQLError:
-            if len(self._param_fail) < 1024:
-                self._param_fail.add(template)
-            return None
-        memo = (statements, values)
-        self._param_memo[sql] = memo
-        while len(self._param_memo) > self._parse_cache_capacity:
-            self._param_memo.popitem(last=False)
-        return memo
+    def prepare_parameterized(self, sql: str,
+                              params: Optional[List[Any]] = None
+                              ) -> Tuple[List[ast.Statement], List[Any]]:
+        """``(statements, params)`` for one client call.  With
+        :attr:`auto_parameterize` on, literal point SQL (no ``params``)
+        runs as its cached ``?`` template bound to the extracted values."""
+        if not self.auto_parameterize:
+            return self.parse(sql), params or []
+        statements, _infos, params = self._parse_cache.prepare(sql, params)
+        return statements, params
 
     # -- transactions -------------------------------------------------------------
 

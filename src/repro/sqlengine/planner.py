@@ -220,9 +220,10 @@ def plan_table_access_cached(table: Table, binding: str,
     """Memoized :func:`plan_table_access`.
 
     Entries are keyed by object identity of the WHERE clause and table
-    (the parse cache keeps statement trees alive, so identity is stable)
-    and carry strong references, which also guards against ``id()``
-    reuse.  A shape is recompiled whenever ``table.schema_epoch`` moves
+    (the statement caches of :mod:`repro.sqlengine.prepared` own the
+    trees and return one per SQL text, so identity is stable) and carry
+    strong references, which also guards against ``id()`` reuse.  A
+    shape is recompiled whenever ``table.schema_epoch`` moves
     (new/dropped index, added column).  The cache is cleared wholesale at
     capacity — repopulating a working set is cheaper than tracking LRU
     order on the hot path.

@@ -7,7 +7,7 @@ from repro.bench import (
 )
 from repro.cluster import Environment
 from repro.core import CostModel
-from repro.workloads import MicroWorkload
+from repro.workloads import MicroWorkload, TxnSpec
 
 
 def timed_setup(replication="writeset", propagation="async", n=3,
@@ -137,3 +137,35 @@ def test_run_metrics_split_read_write():
     assert metrics.write_latency.count() > 0
     assert (metrics.read_latency.count() + metrics.write_latency.count()
             == metrics.latency.count())
+
+
+def test_now_template_gets_a_fresh_timestamp_per_row():
+    """Statement mode rewrites NOW() into a literal in the statement tree
+    itself; the driver must not hand a cached, already-rewritten template
+    to the next call, or every later row repeats the first timestamp."""
+    env = Environment()
+    middleware = build_cluster(2, replication="statement", env=env)
+    session = middleware.connect(database="shop")
+    session.execute("CREATE TABLE t (id INT PRIMARY KEY, ts FLOAT)")
+    cluster = TimedCluster(env, middleware)
+    outcomes = []
+
+    def client():
+        for i in (1, 2, 3):
+            yield env.timeout(i - env.now)
+            spec = TxnSpec(
+                [(f"INSERT INTO t (id, ts) VALUES ({i}, NOW())", [])],
+                is_read_only=False, tables=["t"])
+            outcomes.append((yield from cluster.run_transaction(
+                session, spec)))
+
+    env.process(client())
+    env.run(until=4.0)
+    cluster.stop()
+    assert [ok for _latency, ok, _error in outcomes] == [True] * 3
+    stamps = [row[0] for row in session.execute(
+        "SELECT ts FROM t ORDER BY id").rows]
+    assert len(set(stamps)) == 3
+    for i, stamp in enumerate(stamps, start=1):
+        assert i <= stamp < i + 0.5
+    assert middleware.check_convergence()
